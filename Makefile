@@ -4,7 +4,7 @@
 # dedicated `differential` target re-runs just it, shuffled).
 .PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-snapshot-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
 build:
 	go build ./...
@@ -95,10 +95,11 @@ scale-smoke:
 	go test -race -run 'TestScaleSmokeParallel' -count=1 ./internal/validate/
 
 # The scaling differentials explicitly under the race detector: parallel
-# validation (work-stealing, element sharding, skewed violations) and
+# validation (work-stealing range chunks on large and skewed graphs) and
 # the parallel root-scan query path must be byte-identical to their
-# sequential counterparts, plus the scheduler-telemetry invariants and
-# the parallel allocation budget. Subsumed by `race` but kept as its own
+# sequential counterparts, plus the scheduler-telemetry invariants (and
+# the range plan every fused run uses), cancellation and the parallel
+# allocation budget. Subsumed by `race` but kept as its own
 # gate in `check` so a scaling regression names itself.
 scale-differential:
 	go test -race -shuffle=on -count=1 \

@@ -119,23 +119,21 @@ func BenchmarkE2ValidationScaling(b *testing.B) {
 
 // BenchmarkE2ParallelSpeedup compares worker counts on a large graph —
 // the observable consequence of the paper's AC0 (highly parallelizable)
-// result.
+// result. Every worker count runs the same range-chunk plan; more than
+// one worker claims its chunks off the work-stealing cursor.
 func BenchmarkE2ParallelSpeedup(b *testing.B) {
 	s, g := benchGraph(b, 5000)
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, sharding := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d/sharding=%v", workers, sharding)
-			b.Run(name, func(b *testing.B) {
-				opts := pgschema.ValidateOptions{Workers: workers, ElementSharding: sharding}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := pgschema.ValidateGraph(s, g, opts)
-					if !res.OK() {
-						b.Fatal("generated graph invalid")
-					}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := pgschema.ValidateOptions{Workers: workers}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := pgschema.ValidateGraph(s, g, opts)
+				if !res.OK() {
+					b.Fatal("generated graph invalid")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -508,7 +506,8 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkScale is the million-element scaling experiment: strong
 // validation with the compiled fused engine at ~10⁵ and ~10⁶ graph
-// elements, sequential and work-stealing parallel at 2/4/8 workers.
+// elements, sequential and work-stealing parallel at 2/4/8 workers (one
+// range-chunk plan for all of them).
 // benchSchema graphs carry ~7 elements per nodes-per-type unit, so
 // 15000 and 143000 land close to the two targets. `make bench-scale`
 // captures this into BENCH_scale.json.
@@ -524,10 +523,9 @@ func BenchmarkScale(b *testing.B) {
 			name := fmt.Sprintf("elems=%d/workers=%d", elems, workers)
 			b.Run(name, func(b *testing.B) {
 				opts := pgschema.ValidateOptions{
-					Engine:          pgschema.EngineFused,
-					Program:         prog,
-					Workers:         workers,
-					ElementSharding: workers > 1,
+					Engine:  pgschema.EngineFused,
+					Program: prog,
+					Workers: workers,
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"pgschema/internal/apigen"
+	"pgschema/internal/atomicfile"
 	"pgschema/internal/cnf"
 	"pgschema/internal/ddl"
 	"pgschema/internal/gen"
@@ -187,28 +189,10 @@ func fileExists(path string) bool {
 	return err == nil && st.Mode().IsRegular()
 }
 
-// saveSnapshot writes the graph's snapshot to path atomically: the
-// bytes go to a temp file in the same directory, fsynced, then renamed
-// over the target so a crash never leaves a torn .pgsnap behind.
+// saveSnapshot writes the graph's snapshot to path atomically, so a
+// crash never leaves a torn .pgsnap behind.
 func saveSnapshot(g *pg.Graph, path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".pgsnap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := pg.WriteSnapshot(tmp, g.Snapshot()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, func(w io.Writer) error { return pg.WriteSnapshot(w, g.Snapshot()) })
 }
 
 // loadGraphCSV opens a nodes/edges CSV pair and loads it with either
@@ -500,7 +484,10 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	out, err := query.Execute(s, g, doc, *op)
+	// The compiled plan answers keyed lookups from the key index instead
+	// of scanning; its output is byte-identical to the interpretive
+	// executor's.
+	out, err := query.Compile(s, doc).Execute(context.Background(), g, *op)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pgschema/internal/query"
 )
 
 const testSchema = `
@@ -268,6 +271,35 @@ func TestCmdExport(t *testing.T) {
 	}
 }
 
+// interpretiveQuery answers src with the tree-walking executor and
+// encodes the result the way cmdQuery prints it.
+func interpretiveQuery(t *testing.T, schemaPath, graphPath, src string) string {
+	t.Helper()
+	s, err := loadSchema(schemaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := loadGraph(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := query.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := query.Execute(s, g, doc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestCmdQuery(t *testing.T) {
 	dir := t.TempDir()
 	schema := write(t, dir, "s.graphql", testSchema)
@@ -280,6 +312,20 @@ func TestCmdQuery(t *testing.T) {
 	}
 	if !strings.Contains(out, `"login": "ada"`) || !strings.Contains(out, `"login": "bob"`) {
 		t.Errorf("query output:\n%s", out)
+	}
+	// Keyed lookups (hit and miss) run on the compiled plan; stdout must
+	// be byte-identical to the interpretive executor's encoding.
+	for _, q := range []string{
+		`{ user(id: "u1") { login follows { login } } }`,
+		`{ a: user(id: "u2") { id login } b: user(id: "nobody") { login } }`,
+	} {
+		out, err := capture(t, func() error { return cmdQuery([]string{schema, graph, q}) })
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if want := interpretiveQuery(t, schema, graph, q); out != want {
+			t.Errorf("%s: CLI output differs from the interpretive executor:\n--- cli ---\n%s--- interpretive ---\n%s", q, out, want)
+		}
 	}
 	// From a file, with an operation name.
 	qf := write(t, dir, "q.graphql", `query A { allUsers { id } } query B { user(id: "u2") { login } }`)

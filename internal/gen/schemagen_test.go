@@ -46,7 +46,7 @@ func TestRandomSchemasParallelAgreement(t *testing.T) {
 			_, _ = Inject(s, g, rule, seed)
 		}
 		seq := validate.Validate(s, g, validate.Options{})
-		par := validate.Validate(s, g, validate.Options{Workers: 4, ElementSharding: true})
+		par := validate.Validate(s, g, validate.Options{Workers: 4})
 		if len(seq.Violations) != len(par.Violations) {
 			t.Fatalf("seed %d: sequential %d vs parallel %d violations\n%s",
 				seed, len(seq.Violations), len(par.Violations), src)

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"strings"
 	"sync"
 
 	"pgschema/internal/pg"
@@ -39,7 +38,7 @@ type planBinding struct {
 	enums    [][]pg.NodeID // per Plan.enumTypes, ascending node IDs
 
 	keyOnce sync.Once
-	keyIdx  []map[string][]pg.NodeID // per Plan.lookups
+	keyIdx  []keyBuckets // per Plan.lookups
 }
 
 // bindTo returns the plan bound to the graph at its current epoch,
@@ -137,6 +136,16 @@ func (b *planBinding) ensureEnums() {
 	})
 }
 
+// keyBuckets is one looked-up type's key index: its nodes grouped by
+// rendered key tuple, in ascending node-id order. Keys almost always
+// identify one node, so a bucket's lowest node sits in first and only
+// the rest of a bucket of two or more in more: a unique key costs one
+// map slot and no slice.
+type keyBuckets struct {
+	first map[string]pg.NodeID
+	more  map[string][]pg.NodeID
+}
+
 // keyIndex returns the key-bucket indexes, building them on first use
 // (only executions with lookup roots pay for them). Buckets group each
 // type's nodes by the rendered key tuple — "P"+Value.Key() per present
@@ -144,28 +153,35 @@ func (b *planBinding) ensureEnums() {
 // the first verified candidate is the lowest matching id, exactly what
 // the (sorted) interpretive scan returns. Value.Key is not injective
 // across kinds, hence the Equal verify pass at execution.
-func (b *planBinding) keyIndex() []map[string][]pg.NodeID {
+func (b *planBinding) keyIndex() []keyBuckets {
 	b.keyOnce.Do(func() {
 		b.ensureEnums()
-		b.keyIdx = make([]map[string][]pg.NodeID, len(b.p.lookups))
-		var sb strings.Builder
+		b.keyIdx = make([]keyBuckets, len(b.p.lookups))
+		var key []byte
 		for i, spec := range b.p.lookups {
-			buckets := make(map[string][]pg.NodeID)
+			kb := keyBuckets{first: make(map[string]pg.NodeID)}
 			for _, v := range b.enums[spec.enumIdx] {
-				sb.Reset()
+				key = key[:0]
 				for _, slot := range spec.slots {
 					if val, ok := b.snap.NodePropBySym(v, b.syms[slot]); ok {
-						sb.WriteString("P")
-						sb.WriteString(val.Key())
+						key = append(key, 'P')
+						key = append(key, val.Key()...)
 					} else {
-						sb.WriteString("A")
+						key = append(key, 'A')
 					}
-					sb.WriteByte('\x00')
+					key = append(key, 0)
 				}
-				key := sb.String()
-				buckets[key] = append(buckets[key], v)
+				if _, dup := kb.first[string(key)]; !dup {
+					kb.first[string(key)] = v
+					continue
+				}
+				if kb.more == nil {
+					kb.more = make(map[string][]pg.NodeID)
+				}
+				k := string(key)
+				kb.more[k] = append(kb.more[k], v)
 			}
-			b.keyIdx[i] = buckets
+			b.keyIdx[i] = kb
 		}
 	})
 	return b.keyIdx

@@ -94,6 +94,47 @@ func TestPlanBindingEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestCompiledLookupDuplicateKeys pins lookups on a key several nodes
+// share (a @key violation the graph may hold): the compiled plan must
+// answer the lowest node ID, as the interpretive scan does, whether the
+// duplicates agree on the key value's kind or not.
+func TestCompiledLookupDuplicateKeys(t *testing.T) {
+	s := build(t, starWarsSchema)
+	g := starWarsGraph(t, s)
+	for _, dup := range []struct {
+		id   values.Value
+		name string
+	}{
+		{values.ID("1000"), "Luke's twin"},
+		{values.String("1002"), "Han's twin"},
+	} {
+		n := g.AddNode("Human")
+		g.SetNodeProp(n, "id", dup.id)
+		g.SetNodeProp(n, "name", values.String(dup.name))
+	}
+	for _, q := range []string{
+		`{ human(id: "1000") { name } }`,
+		`{ human(id: "1002") { name } }`,
+		`{ a: human(id: "1000") { name } b: human(id: "9999") { name } }`,
+	} {
+		doc, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Compile(s, doc).Execute(context.Background(), g, "")
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := Execute(s, g, doc, "")
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: compiled %v, interpretive %v", q, got, want)
+		}
+	}
+}
+
 func TestPlanCacheLRU(t *testing.T) {
 	s := build(t, starWarsSchema)
 	c := NewPlanCache(s, 2)

@@ -85,22 +85,15 @@ func (ex *cexec) rootStep(st *rootStep, out map[string]any) error {
 		}
 		out[st.key] = list
 	case rtLookup:
-		idx := ex.b.keyIndex()[st.lookupIdx]
-		var node pg.NodeID
-		found := false
-		for _, v := range idx[st.bucketKey] {
-			ok := true
-			for i := range st.verify {
-				chk := &st.verify[i]
-				val, has := ex.b.snap.NodePropBySym(v, ex.b.syms[chk.slot])
-				if !has || !val.Equal(chk.want) {
-					ok = false
+		idx := &ex.b.keyIndex()[st.lookupIdx]
+		node, found := idx.first[st.bucketKey]
+		if found && !ex.keyMatches(st, node) {
+			found = false
+			for _, v := range idx.more[st.bucketKey] {
+				if ex.keyMatches(st, v) {
+					node, found = v, true
 					break
 				}
-			}
-			if ok {
-				node, found = v, true
-				break
 			}
 		}
 		if !found {
@@ -114,6 +107,20 @@ func (ex *cexec) rootStep(st *rootStep, out map[string]any) error {
 		out[st.key] = m
 	}
 	return nil
+}
+
+// keyMatches verifies a key-bucket candidate against the lookup's
+// arguments by value equality (bucket keys render Value.Key, which is
+// not injective across kinds).
+func (ex *cexec) keyMatches(st *rootStep, v pg.NodeID) bool {
+	for i := range st.verify {
+		chk := &st.verify[i]
+		val, has := ex.b.snap.NodePropBySym(v, ex.b.syms[chk.slot])
+		if !has || !val.Equal(chk.want) {
+			return false
+		}
+	}
+	return true
 }
 
 // Parallel full-scan thresholds. A root allX scan with at least

@@ -62,7 +62,10 @@ type validateRequest struct {
 	// Workers > 1 enables the parallel engine; 0 (the default) lets the
 	// server autotune from the graph size and available CPUs.
 	Workers int `json:"workers"`
-	// ElementSharding splits element iteration across workers.
+	// ElementSharding is accepted and ignored (deprecated): every
+	// parallel run splits its passes into work-stealing range chunks.
+	// The field stays so older clients' requests still decode under
+	// DisallowUnknownFields.
 	ElementSharding bool `json:"elementSharding"`
 	// Engine is "auto" (default), "fused", or "rule-by-rule".
 	Engine string `json:"engine"`
@@ -202,8 +205,7 @@ func (req *validateRequest) options() (validate.Options, string) {
 		Workers:       req.Workers,
 		// Timings feed /metrics; since the parallel engine collects
 		// them too, every run can afford to.
-		ElementSharding: req.ElementSharding,
-		CollectTimings:  true,
+		CollectTimings: true,
 		// Telemetry feeds /metrics on every run; the response only
 		// carries it when the request asked (see serveValidate).
 		SchedStats: true,

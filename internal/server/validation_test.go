@@ -68,11 +68,17 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestValidateEndpointParallelTimings pins the parallel /validate
+// request: timings survive Workers > 1, the deprecated elementSharding
+// field is accepted and changes nothing, and a rule-by-rule request —
+// a sequential engine — reports the one worker it ran on.
 func TestValidateEndpointParallelTimings(t *testing.T) {
 	h := newTestHandler(t)
+	// A City without its @required (and @key) name property, so the
+	// compared runs have violations to agree on.
+	h.def().g.AddNode("City")
 	mux := h.Mux()
-	// The acceptance criterion: Workers > 1 still yields timings.
-	rec, out := postJSON(t, mux, "/validate", `{"workers": 4, "elementSharding": true}`)
+	rec, out := postJSON(t, mux, "/validate", `{"workers": 4}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -84,6 +90,29 @@ func TestValidateEndpointParallelTimings(t *testing.T) {
 	}
 	if out.Workers < 2 {
 		t.Errorf("explicit workers=4 request resolved to %d workers", out.Workers)
+	}
+	if len(out.Violations) == 0 {
+		t.Fatal("fixture reported no violations")
+	}
+
+	rec, legacy := postJSON(t, mux, "/validate", `{"workers": 4, "elementSharding": true}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("elementSharding request: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if !reflect.DeepEqual(legacy.Violations, out.Violations) || legacy.Engine != out.Engine || legacy.Workers != out.Workers {
+		t.Errorf("elementSharding changed the run: engine %q workers %d violations %v, want engine %q workers %d violations %v",
+			legacy.Engine, legacy.Workers, legacy.Violations, out.Engine, out.Workers, out.Violations)
+	}
+
+	rec, rbr := postJSON(t, mux, "/validate", `{"engine": "rule-by-rule", "workers": 4}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("rule-by-rule request: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rbr.Engine != "rule-by-rule" || rbr.Workers != 1 {
+		t.Errorf("rule-by-rule workers=4: engine %q workers %d, want rule-by-rule on 1 worker", rbr.Engine, rbr.Workers)
+	}
+	if !reflect.DeepEqual(rbr.Violations, out.Violations) {
+		t.Errorf("rule-by-rule violations %v, fused %v", rbr.Violations, out.Violations)
 	}
 }
 

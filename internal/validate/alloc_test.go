@@ -93,7 +93,7 @@ func TestParallelAllocBudget(t *testing.T) {
 	p := Compile(s)
 
 	seqOpts := Options{Program: p, Workers: 1}
-	parOpts := Options{Program: p, Workers: 4, ElementSharding: true}
+	parOpts := Options{Program: p, Workers: 4}
 	// Warm the binding, kernels, pools, and scheduler state.
 	Validate(s, g, seqOpts)
 	Validate(s, g, parOpts)

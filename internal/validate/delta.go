@@ -67,31 +67,6 @@ func (b idBits) count() int {
 	return n
 }
 
-// nodeMap and edgeMap expand a bit vector into the map form the
-// rule-by-rule runner's restriction filters take. Out-of-bound bits are
-// kept — the runner intersects with the live element lists anyway.
-func (b idBits) nodeMap() map[pg.NodeID]bool {
-	m := make(map[pg.NodeID]bool, b.count())
-	for wi, w := range b {
-		for w != 0 {
-			m[pg.NodeID(wi<<6+bits.TrailingZeros64(w))] = true
-			w &= w - 1
-		}
-	}
-	return m
-}
-
-func (b idBits) edgeMap() map[pg.EdgeID]bool {
-	m := make(map[pg.EdgeID]bool, b.count())
-	for wi, w := range b {
-		for w != 0 {
-			m[pg.EdgeID(wi<<6+bits.TrailingZeros64(w))] = true
-			w &= w - 1
-		}
-	}
-	return m
-}
-
 // deltaRegion is the blast radius of a delta, split by the element
 // space each rule group quantifies over.
 type deltaRegion struct {
@@ -214,21 +189,22 @@ func sortedEdgeList(set idBits, bound int) []pg.EdgeID {
 // truncated, or incomplete there is nothing sound to splice into, and
 // Revalidate falls back to a full run.
 //
-// The engine resolution mirrors Validate: EngineAuto and EngineFused
-// run the region through delta-scoped fused passes over the epoch's
-// snapshot (chunked onto the work-stealing pool when Options.Workers
-// asks for it); EngineRuleByRule keeps the definitional restricted
-// sweeps. MaxViolations is ignored — a spliced result is only coherent
-// when both sides are complete. Cancellation is observed at chunk
+// EngineAuto and EngineFused run the region through delta-scoped fused
+// passes over the epoch's snapshot (chunked onto the work-stealing pool
+// when Options.Workers asks for it); MaxViolations is ignored — a
+// spliced result is only coherent when both sides are complete.
+// EngineRuleByRule, the sequential reference engine, has no incremental
+// form: it runs a full ValidateContext, whose result the incremental
+// one equals by the contract above. Cancellation is observed at chunk
 // boundaries; a cancelled run returns with Incomplete set, and such a
 // result must not seed a later Revalidate.
 func Revalidate(ctx context.Context, s *schema.Schema, g *pg.Graph, prev *Result, delta Delta, opts Options) *Result {
-	if prev == nil || prev.Truncated || prev.Incomplete {
+	engine := opts.resolveEngine()
+	if prev == nil || prev.Truncated || prev.Incomplete || engine == EngineRuleByRule {
 		return ValidateContext(ctx, s, g, opts)
 	}
 	rules := opts.rules()
 	reg := regionOf(g, delta)
-	engine := opts.resolveEngine()
 	// Worker resolution keys on the dirty-element count, not the graph
 	// size: a small delta on a huge graph is small work.
 	origWorkers := opts.Workers
@@ -241,82 +217,30 @@ func Revalidate(ctx context.Context, s *schema.Schema, g *pg.Graph, prev *Result
 		return res
 	}
 
+	p := opts.Program
+	if p == nil || p.s != s {
+		var err error
+		p, err = CompileContext(ctx, s)
+		if err != nil {
+			return finish(&Result{})
+		}
+	}
+	// Autotuned worker counts fall back toward sequential when the
+	// program's measured parallel efficiency says parallelism is not
+	// paying, as in ValidateContext.
+	if origWorkers == 0 && opts.Workers > 1 {
+		opts.Workers = p.autotuneWorkers(opts.Workers)
+	}
 	c := newCollector(0)
-	r := &runner{s: s, g: g, opts: opts, ctx: ctx}
-	if engine == EngineFused {
-		p := opts.Program
-		if p == nil || p.s != s {
-			var err error
-			p, err = CompileContext(ctx, s)
-			if err != nil {
-				return finish(&Result{})
-			}
-		}
-		// Autotuned worker counts fall back toward sequential when the
-		// program's measured parallel efficiency says parallelism is not
-		// paying, as in ValidateContext.
-		if origWorkers == 0 && opts.Workers > 1 {
-			opts.Workers = p.autotuneWorkers(opts.Workers)
-			r.opts.Workers = opts.Workers
-		}
-		r.coll = c
-		r.bind = p.bindTo(g)
-		r.onlyTypes = reg.affected // consulted by the DS7 chunk alone
-		w := wantRules(rules)
-		timings, st := r.runChunks(r.planDirtyChunks(w, reg), rules, c)
-		fresh := c.result()
-		out := splice(r, prev, fresh, reg)
-		out.RuleTime = timings
-		if opts.SchedStats {
-			out.Sched = st
-		}
-		return finish(out)
+	// onlyTypes is consulted by the DS7 chunk alone.
+	r := &runner{s: s, g: g, opts: opts, ctx: ctx, coll: c, bind: p.bindTo(g), onlyTypes: reg.affected}
+	timings, st := r.runChunks(r.planDirtyChunks(wantRules(rules), reg), rules, c)
+	out := splice(r, prev, c.result(), reg)
+	out.RuleTime = timings
+	if opts.SchedStats {
+		out.Sched = st
 	}
-
-	// EngineRuleByRule: the definitional restricted sweeps, one rule at
-	// a time over its region, checked for cancellation between rules.
-	// The runner's restriction filters are maps, so the bit vectors are
-	// expanded once per region here — acceptable on the definitional
-	// path, which is not the performance surface.
-	run := func(rule Rule, only map[pg.NodeID]bool, onlyEdges map[pg.EdgeID]bool) {
-		if r.cancelled() {
-			return
-		}
-		r.onlyNodes, r.onlyEdges, r.onlyTypes = only, onlyEdges, nil
-		r.runRule(rule, c.emit, 0, 1)
-	}
-	want := make(map[Rule]bool, len(rules))
-	for _, rule := range rules {
-		want[rule] = true
-	}
-	nodeMap, edgeMap := reg.nodeSet.nodeMap(), reg.edgeSet.edgeMap()
-	sourceMap, targetMap := reg.sourceSet.nodeMap(), reg.targetSet.nodeMap()
-	for _, rule := range []Rule{WS1, SS1, SS2, DS5} {
-		if want[rule] {
-			run(rule, nodeMap, nil)
-		}
-	}
-	for _, rule := range []Rule{WS2, WS3, SS3, SS4} {
-		if want[rule] {
-			run(rule, nil, edgeMap)
-		}
-	}
-	for _, rule := range []Rule{WS4, DS1, DS2, DS6} {
-		if want[rule] {
-			run(rule, sourceMap, nil)
-		}
-	}
-	for _, rule := range []Rule{DS3, DS4} {
-		if want[rule] {
-			run(rule, targetMap, nil)
-		}
-	}
-	if want[DS7] && !r.cancelled() {
-		// DS7 needs the full key buckets of the affected types.
-		r.onlyNodes, r.onlyEdges, r.onlyTypes = nil, nil, reg.affected
-		r.runRule(DS7, c.emit, 0, 1)
-	}
-	return finish(splice(r, prev, c.result(), reg))
+	return finish(out)
 }
 
 // RevalidateWithOptions is the pre-context signature of Revalidate.

@@ -30,7 +30,6 @@ var revalConfigs = []struct {
 	{"seq/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused }},
 	{"par4/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused; o.Workers = 4 }},
 	{"seq/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule }},
-	{"par4/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule; o.Workers = 4 }},
 	{"seq/fused+program", true, func(o *validate.Options) { o.Engine = validate.EngineFused }},
 }
 

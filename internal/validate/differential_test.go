@@ -3,8 +3,9 @@ package validate_test
 // The differential harness proves the engine-equivalence claim the
 // fused engine rests on: for a matrix of generated schemas, conformant
 // graphs, and per-rule injected faults, every engine configuration —
-// rule-by-rule and fused, sequential and parallel, sharded and not, and
-// the naive pair-scan ablation — must emit the byte-identical
+// the sequential rule-by-rule baseline, the fused engine sequential and
+// parallel, with and without a precompiled program, and the naive
+// pair-scan ablation — must emit the byte-identical
 // canonically-sorted violation set under all three satisfaction modes.
 
 import (
@@ -53,20 +54,10 @@ var engineConfigs = []struct {
 }{
 	{"seq/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule }},
 	{"seq/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused }},
-	{"par4/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule; o.Workers = 4 }},
 	{"par4/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused; o.Workers = 4 }},
-	{"par4+sharding/fused", false, func(o *validate.Options) {
-		o.Engine = validate.EngineFused
-		o.Workers = 4
-		o.ElementSharding = true
-	}},
 	{"seq/naive-pair-scan", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule; o.NaivePairScan = true }},
 	{"seq/fused+program", true, func(o *validate.Options) { o.Engine = validate.EngineFused }},
-	{"par4+sharding/fused+program", true, func(o *validate.Options) {
-		o.Engine = validate.EngineFused
-		o.Workers = 4
-		o.ElementSharding = true
-	}},
+	{"par4/fused+program", true, func(o *validate.Options) { o.Engine = validate.EngineFused; o.Workers = 4 }},
 }
 
 var diffModes = []struct {

@@ -16,15 +16,12 @@ import (
 // Note: the paper's definition literally writes λ(e1) ⊑S t for the edge
 // e1; following the prose of §3.3 we read this as λ(v1) ⊑S t (see the
 // errata section of DESIGN.md).
-func (r *runner) ds1(emit emitFunc, shard, nShards int) {
+func (r *runner) ds1(emit emitFunc) {
 	for _, fd := range r.relationshipDeclarations() {
 		if !schema.HasDirective(fd.Directives, schema.DirDistinct) {
 			continue
 		}
 		for _, v1 := range r.nodesOfType(fd.Owner) {
-			if !nodeShard(v1, shard, nShards) {
-				continue
-			}
 			seen := make(map[pg.NodeID]int)
 			for _, e := range r.g.OutEdgesLabeled(v1, fd.Name) {
 				_, dst := r.g.Endpoints(e)
@@ -44,15 +41,12 @@ func (r *runner) ds1(emit emitFunc, shard, nShards int) {
 
 // ds2 — DS2 (@noLoops): if (@noLoops, ∅) ∈ directivesF(t, f), no f-labeled
 // edge from a node of a type ⊑ t may have ρ(e) = (v, v).
-func (r *runner) ds2(emit emitFunc, shard, nShards int) {
+func (r *runner) ds2(emit emitFunc) {
 	for _, fd := range r.relationshipDeclarations() {
 		if !schema.HasDirective(fd.Directives, schema.DirNoLoops) {
 			continue
 		}
 		for _, v := range r.nodesOfType(fd.Owner) {
-			if !nodeShard(v, shard, nShards) {
-				continue
-			}
 			for _, e := range r.g.OutEdgesLabeled(v, fd.Name) {
 				if _, dst := r.g.Endpoints(e); dst == v && !r.drop() {
 					emit(Violation{
@@ -74,9 +68,9 @@ func (r *runner) ds2(emit emitFunc, shard, nShards int) {
 // Note: the paper writes λ(v2) ⊑S typeS(t, f) for the *source* of the
 // second edge; following the prose we require both sources ⊑ t (errata in
 // DESIGN.md).
-func (r *runner) ds3(emit emitFunc, shard, nShards int) {
+func (r *runner) ds3(emit emitFunc) {
 	if r.opts.NaivePairScan {
-		r.ds3Naive(emit, shard, nShards)
+		r.ds3Naive(emit)
 		return
 	}
 	for _, fd := range r.relationshipDeclarations() {
@@ -84,9 +78,6 @@ func (r *runner) ds3(emit emitFunc, shard, nShards int) {
 			continue
 		}
 		for _, v3 := range r.targetNodes(fd) {
-			if !nodeShard(v3, shard, nShards) {
-				continue
-			}
 			n := 0
 			var second pg.EdgeID = -1
 			for _, e := range r.g.InEdgesLabeled(v3, fd.Name) {
@@ -112,10 +103,9 @@ func (r *runner) ds3(emit emitFunc, shard, nShards int) {
 }
 
 // ds3Naive is the pair scan over E × E from the definition, kept for the
-// index ablation benchmark. Sharding goes by the target node — the key
-// the dedup map uses — mirroring the indexed ds3 and avoiding duplicate
-// reports when two shards hold different first edges into one target.
-func (r *runner) ds3Naive(emit emitFunc, shard, nShards int) {
+// index ablation benchmark. It reports each target once, at its first
+// admissible incoming edge, mirroring the indexed ds3.
+func (r *runner) ds3Naive(emit emitFunc) {
 	for _, fd := range r.relationshipDeclarations() {
 		if !schema.HasDirective(fd.Directives, schema.DirUniqueForTarget) {
 			continue
@@ -127,14 +117,14 @@ func (r *runner) ds3Naive(emit emitFunc, shard, nShards int) {
 		for _, l := range r.s.ConcreteTargets(fd.Type.Base()) {
 			targetLabels[l] = true
 		}
-		edges := r.edges()
+		edges := r.g.Edges()
 		reported := make(map[pg.NodeID]bool)
 		for i, e1 := range edges {
 			if r.g.EdgeLabel(e1) != fd.Name {
 				continue
 			}
 			s1, t1 := r.g.Endpoints(e1)
-			if !nodeShard(t1, shard, nShards) || reported[t1] {
+			if reported[t1] {
 				continue
 			}
 			if !targetLabels[r.g.NodeLabel(t1)] {
@@ -179,15 +169,12 @@ func (r *runner) ds3Naive(emit emitFunc, shard, nShards int) {
 // if (@requiredForTarget, ∅) ∈ directivesF(t, f), every node whose label
 // is a subtype of the field's target type must have at least one incoming
 // f-labeled edge from a node of a type ⊑ t.
-func (r *runner) ds4(emit emitFunc, shard, nShards int) {
+func (r *runner) ds4(emit emitFunc) {
 	for _, fd := range r.relationshipDeclarations() {
 		if !schema.HasDirective(fd.Directives, schema.DirRequiredForTarget) {
 			continue
 		}
 		for _, v2 := range r.targetNodes(fd) {
-			if !nodeShard(v2, shard, nShards) {
-				continue
-			}
 			found := false
 			for _, e := range r.g.InEdgesLabeled(v2, fd.Name) {
 				src, _ := r.g.Endpoints(e)
@@ -220,15 +207,12 @@ func (r *runner) targetNodes(fd *schema.FieldDef) []pg.NodeID {
 // (@required, ∅) ∈ directivesF(t, f) and typeF(t, f) ∈ S ∪ WS, every node
 // of a type ⊑ t must define the property, and the value must be a
 // nonempty list when the field type is a list type.
-func (r *runner) ds5(emit emitFunc, shard, nShards int) {
+func (r *runner) ds5(emit emitFunc) {
 	for _, fd := range r.attributeDeclarations() {
 		if !schema.HasDirective(fd.Directives, schema.DirRequired) {
 			continue
 		}
 		for _, v := range r.nodesOfType(fd.Owner) {
-			if !nodeShard(v, shard, nShards) {
-				continue
-			}
 			val, ok := r.g.NodeProp(v, fd.Name)
 			switch {
 			case !ok:
@@ -257,15 +241,12 @@ func (r *runner) ds5(emit emitFunc, shard, nShards int) {
 // ds6 — DS6 (@required on a relationship: edge is required): if
 // (@required, ∅) ∈ directivesF(t, f) and typeF(t, f) ∉ S ∪ WS, every node
 // of a type ⊑ t must have at least one outgoing f-labeled edge.
-func (r *runner) ds6(emit emitFunc, shard, nShards int) {
+func (r *runner) ds6(emit emitFunc) {
 	for _, fd := range r.relationshipDeclarations() {
 		if !schema.HasDirective(fd.Directives, schema.DirRequired) {
 			continue
 		}
 		for _, v1 := range r.nodesOfType(fd.Owner) {
-			if !nodeShard(v1, shard, nShards) {
-				continue
-			}
 			if r.g.OutDegreeLabeled(v1, fd.Name) == 0 && !r.drop() {
 				emit(Violation{
 					Rule: DS6, Node: v1, Edge: -1,
@@ -283,52 +264,16 @@ func (r *runner) ds6(emit emitFunc, shard, nShards int) {
 // ⊑ t that agree on every key property (both absent, or both present and
 // equal — considering only the fi whose type at t is scalar) must be the
 // same node.
-func (r *runner) ds7(emit emitFunc, shard, nShards int) {
-	_ = shard // DS7 buckets globally; it is never sharded (see parallel()).
-	_ = nShards
-	// An unrestricted sweep with a bound program reads the cached bucket
-	// index instead of rebuilding it; restricted sweeps (incremental
-	// revalidation) bucket only the affected types below.
-	if r.bind != nil && r.onlyNodes == nil && r.onlyTypes == nil {
-		for _, ks := range r.bind.keyIndex(r.s) {
-			for _, nodes := range ks.buckets {
-				if len(nodes) < 2 || r.drop() {
-					continue
-				}
-				emit(Violation{
-					Rule: DS7, Node: nodes[0], Edge: -1,
-					TypeName: ks.typeName,
-					Message: fmt.Sprintf("%d nodes (%s, %s, …) of type %s agree on key {%s}, violating @key",
-						len(nodes), nodeRef(nodes[0]), nodeRef(nodes[1]), ks.typeName, strings.Join(ks.keyFields, ", ")),
-				})
-			}
-		}
-		return
-	}
+func (r *runner) ds7(emit emitFunc) {
 	for _, td := range r.s.Types() {
 		if !r.typeAllowed(td.Name) {
 			continue
 		}
 		for _, keyFields := range td.KeyFieldSets() {
-			var attrs []string
-			for _, f := range keyFields {
-				fd := td.Field(f)
-				if fd != nil && r.s.IsAttribute(fd) {
-					attrs = append(attrs, f)
-				}
-			}
+			attrs := keyAttrs(r.s, td, keyFields)
 			buckets := make(map[string][]pg.NodeID)
 			for _, v := range r.nodesOfType(td.Name) {
-				var sb strings.Builder
-				for _, f := range attrs {
-					if val, ok := r.g.NodeProp(v, f); ok {
-						sb.WriteString("P" + val.Key())
-					} else {
-						sb.WriteString("A")
-					}
-					sb.WriteByte('\x00')
-				}
-				key := sb.String()
+				key := keyTuple(r.g, v, attrs)
 				buckets[key] = append(buckets[key], v)
 			}
 			for _, nodes := range buckets {
@@ -344,4 +289,32 @@ func (r *runner) ds7(emit emitFunc, shard, nShards int) {
 			}
 		}
 	}
+}
+
+// keyAttrs narrows a @key field set to the fields that are attributes
+// of td — the only ones DS7 compares.
+func keyAttrs(s *schema.Schema, td *schema.TypeDef, keyFields []string) []string {
+	var attrs []string
+	for _, f := range keyFields {
+		if fd := td.Field(f); fd != nil && s.IsAttribute(fd) {
+			attrs = append(attrs, f)
+		}
+	}
+	return attrs
+}
+
+// keyTuple renders node v's key-attribute tuple as a bucket key: two
+// nodes agree on the key exactly when their tuples are equal (both
+// absent, or both present and equal, per attribute).
+func keyTuple(g *pg.Graph, v pg.NodeID, attrs []string) string {
+	var sb strings.Builder
+	for _, f := range attrs {
+		if val, ok := g.NodeProp(v, f); ok {
+			sb.WriteString("P" + val.Key())
+		} else {
+			sb.WriteString("A")
+		}
+		sb.WriteByte('\x00')
+	}
+	return sb.String()
 }

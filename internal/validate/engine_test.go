@@ -9,11 +9,10 @@ import (
 	"pgschema/internal/values"
 )
 
-// pairScanGraph builds a graph with several WS4 and DS3 violations whose
-// witnessing edges are spread across edge ids, so that — before the
-// shard-by-dedup-key fix — ElementSharding put different first edges of
-// one (source, field) pair into different shards and each shard emitted
-// the violation again.
+// pairScanGraph builds a graph with several WS4 and DS3 violations, each
+// witnessed by more than one pair of edges spread across edge ids, so a
+// pair scan that deduplicated by edge instead of by (source, field) or
+// target would report one violation more than once.
 func pairScanGraph() *pg.Graph {
 	g := pg.New()
 	var books []pg.NodeID
@@ -54,33 +53,26 @@ func pairScanGraph() *pg.Graph {
 	return g
 }
 
-// TestNaivePairScanSharding is the regression test for the duplicate
-// violations the naive scans emitted under ElementSharding: the naive
-// engine at Workers: 4 must produce exactly the sequential naive result,
-// which in turn must match the indexed engine per rule.
-func TestNaivePairScanSharding(t *testing.T) {
+// TestNaivePairScanDuplicateWitnesses checks that the naive pair scans
+// report each violation once however many edge pairs witness it: per
+// rule they must match the fused engine, including its parallel range
+// chunks, and the counts must be one per offending source or target.
+func TestNaivePairScanDuplicateWitnesses(t *testing.T) {
 	s := build(t, bookSchema)
 	g := pairScanGraph()
 
-	naiveSeq := Validate(s, g, Options{NaivePairScan: true})
-	naivePar := Validate(s, g, Options{NaivePairScan: true, Workers: 4, ElementSharding: true})
-	if len(naivePar.Violations) != len(naiveSeq.Violations) {
-		t.Fatalf("naive sharded: %d violations, naive sequential: %d\nsharded: %v\nsequential: %v",
-			len(naivePar.Violations), len(naiveSeq.Violations), naivePar.Violations, naiveSeq.Violations)
-	}
-	for i := range naiveSeq.Violations {
-		if naivePar.Violations[i] != naiveSeq.Violations[i] {
-			t.Errorf("violation %d differs:\nsharded:    %v\nsequential: %v",
-				i, naivePar.Violations[i], naiveSeq.Violations[i])
-		}
-	}
-
-	indexed := Validate(s, g, Options{Workers: 4, ElementSharding: true})
-	ni, nn := indexed.ByRule(), naivePar.ByRule()
+	naive := Validate(s, g, Options{NaivePairScan: true})
+	fused := Validate(s, g, Options{Workers: 4})
+	nf, nn := fused.ByRule(), naive.ByRule()
 	for _, rule := range []Rule{WS4, DS1, DS3} {
-		if len(ni[rule]) != len(nn[rule]) {
-			t.Errorf("rule %s: indexed %d vs naive sharded %d\nindexed: %v\nnaive: %v",
-				rule, len(ni[rule]), len(nn[rule]), ni[rule], nn[rule])
+		if len(nf[rule]) != len(nn[rule]) {
+			t.Errorf("rule %s: fused %d vs naive %d\nfused: %v\nnaive: %v",
+				rule, len(nf[rule]), len(nn[rule]), nf[rule], nn[rule])
+		}
+		for i := range nn[rule] {
+			if i < len(nf[rule]) && nf[rule][i] != nn[rule][i] {
+				t.Errorf("rule %s: violation %d differs:\nfused: %v\nnaive: %v", rule, i, nf[rule][i], nn[rule][i])
+			}
 		}
 	}
 	if len(nn[WS4]) != 4 {
@@ -91,31 +83,27 @@ func TestNaivePairScanSharding(t *testing.T) {
 	}
 }
 
-// TestParallelRuleTimings covers the CollectTimings extension to the
-// parallel engine: every requested rule gets a RuleTime entry whether the
-// tasks are whole rules or (rule, shard) pairs.
+// TestParallelRuleTimings covers CollectTimings in a parallel fused run:
+// every requested rule gets a RuleTime entry, summed across workers.
 func TestParallelRuleTimings(t *testing.T) {
 	s := build(t, bookSchema)
 	g := pairScanGraph()
-	for _, sharding := range []bool{false, true} {
-		res := Validate(s, g, Options{Workers: 4, ElementSharding: sharding, CollectTimings: true})
-		if res.RuleTime == nil {
-			t.Fatalf("sharding=%v: RuleTime is nil with CollectTimings set", sharding)
+	res := Validate(s, g, Options{Workers: 4, CollectTimings: true})
+	if res.RuleTime == nil {
+		t.Fatal("RuleTime is nil with CollectTimings set")
+	}
+	if len(res.RuleTime) != len(AllRules) {
+		t.Errorf("timings for %d rules, want %d: %v", len(res.RuleTime), len(AllRules), res.RuleTime)
+	}
+	var total time.Duration
+	for _, d := range res.RuleTime {
+		if d < 0 {
+			t.Errorf("negative duration in %v", res.RuleTime)
 		}
-		if len(res.RuleTime) != len(AllRules) {
-			t.Errorf("sharding=%v: timings for %d rules, want %d: %v",
-				sharding, len(res.RuleTime), len(AllRules), res.RuleTime)
-		}
-		var total time.Duration
-		for _, d := range res.RuleTime {
-			if d < 0 {
-				t.Errorf("sharding=%v: negative duration in %v", sharding, res.RuleTime)
-			}
-			total += d
-		}
-		if total <= 0 {
-			t.Errorf("sharding=%v: all rule durations are zero", sharding)
-		}
+		total += d
+	}
+	if total <= 0 {
+		t.Error("all rule durations are zero")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // never exchange information, so interleaving them per element yields
 // the same violation set as running them rule by rule. The differential
 // test harness (differential_test.go) proves the equivalence across
-// engines, worker counts, sharding, modes, and compiled programs.
+// engines, worker counts, modes, and compiled programs.
 //
 // The passes run against a compiled Program bound to the graph
 // (program.go) and scan the graph's columnar snapshot (pg.Snapshot):
@@ -28,11 +28,12 @@ import (
 // rows, and per-sym presence bitsets, so the hot loops touch contiguous
 // memory instead of chasing node/edge structs. Two rules quantify
 // globally: DS4 iterates each @requiredForTarget declaration's
-// precomputed target enumeration (chunkable like the passes), and DS7
-// buckets nodes per type and stays a single task.
+// precomputed target enumeration, and DS7 ranges over the key-bucket
+// conflict groups; both chunk like the passes.
 //
-// Parallel runs split every pass into many contiguous element chunks
-// claimed off an atomic cursor — work stealing without deques. A skewed
+// Every run splits every pass into contiguous element chunks. A
+// sequential run executes them in order; a parallel run lets workers
+// claim them off an atomic cursor — work stealing without deques. A skewed
 // graph (all violations, or all adjacency, concentrated in one region)
 // no longer pins one worker while the rest idle behind a static modulo
 // split: whoever finishes a chunk first claims the next one. Chunks are
@@ -890,24 +891,12 @@ func (r *runner) fusedEdgeCheck(w fusedWant, emit emitFunc, e pg.EdgeID, els pg.
 	}
 }
 
-// ds4Fused evaluates DS4 for the declaration's target nodes in [lo, hi)
-// of its bound enumeration; decl < 0 means every declaration over its
-// full range (the unchunked task shape). Emitted violations match
-// runner.ds4 byte for byte: the declarations are compiled in
-// relationshipDeclarations order and the targets come from the same
-// bound enumeration ds4 iterates.
-func (r *runner) ds4Fused(emit emitFunc, decl, lo, hi int) {
-	b := r.bind
-	if decl < 0 {
-		for d := range b.reqTargets {
-			r.ds4Decl(emit, &b.reqTargets[d], 0, len(b.reqTargets[d].targets))
-		}
-		return
-	}
-	r.ds4Decl(emit, &b.reqTargets[decl], lo, hi)
-}
-
-func (r *runner) ds4Decl(emit emitFunc, rt *boundReqTarget, lo, hi int) {
+// ds4Range evaluates DS4 for the declaration's target nodes in [lo, hi)
+// of its bound enumeration. Emitted violations match runner.ds4 byte for
+// byte: the declarations are compiled in relationshipDeclarations order
+// and the targets are the same nodes ds4 iterates.
+func (r *runner) ds4Range(emit emitFunc, decl, lo, hi int) {
+	rt := &r.bind.reqTargets[decl]
 	for _, v2 := range rt.targets[lo:hi] {
 		r.ds4Check(emit, rt, v2)
 	}
@@ -961,14 +950,15 @@ func (r *runner) ds4DirtyPass(emit emitFunc, list []pg.NodeID, lo, hi int) {
 }
 
 // fusedChunk is one stealable unit of fused work: a contiguous element
-// range of a node pass, edge pass, or one DS4 declaration's target
-// enumeration — or the whole DS7 pass, which buckets globally. A
-// non-nil nodes/edges list redirects the range into that list, and each
-// chunk carries its own rule set — incremental revalidation chunks its
-// dirty sets this way, with different rules active per region.
+// range of a node pass, edge pass, one DS4 declaration's target
+// enumeration, or the DS7 conflict groups — or, for incremental
+// revalidation, the whole restricted DS7 pass. A non-nil nodes/edges
+// list redirects the range into that list, and each chunk carries its
+// own rule set — incremental revalidation chunks its dirty sets this
+// way, with different rules active per region.
 type fusedChunk struct {
 	kind   fusedTaskKind
-	decl   int // DS4: index into binding.reqTargets; -1 = all
+	decl   int // DS4: index into binding.reqTargets; -1 otherwise
 	lo, hi int
 	w      fusedWant
 	nodes  []pg.NodeID
@@ -989,7 +979,7 @@ const (
 )
 
 // span is the chunk's element span, for the scheduler's chunk-size
-// histogram; whole-pass markers (DS4 all, whole DS7) count as 1.
+// histogram; the whole restricted DS7 pass counts as 1.
 func (t *fusedChunk) span() int {
 	if n := t.hi - t.lo; n > 0 {
 		return n
@@ -998,10 +988,9 @@ func (t *fusedChunk) span() int {
 }
 
 // ds7Range emits the DS7 violations of the binding's conflict groups in
-// [lo, hi) — the chunkable form of the bound unrestricted DS7 sweep.
-// The groups are exactly the ≥2-node key buckets, in deterministic
-// order; callers must have built the key index (fused does, before
-// planning).
+// [lo, hi) — the chunkable form of the unrestricted DS7 sweep. The
+// groups are exactly the ≥2-node key buckets, in deterministic order;
+// callers must have built them (fused does, before planning).
 func (r *runner) ds7Range(emit emitFunc, lo, hi int) {
 	b := r.bind
 	for i := lo; i < hi; i++ {
@@ -1036,13 +1025,13 @@ func (t fusedChunk) run(r *runner, sc *fusedScratch, emit emitFunc) {
 			r.fusedEdgePass(t.w, emit, t.edges, t.lo, t.hi)
 		}
 	case taskDS4:
-		r.ds4Fused(emit, t.decl, t.lo, t.hi)
+		r.ds4Range(emit, t.decl, t.lo, t.hi)
 	case taskDS4Dirty:
 		r.ds4DirtyPass(emit, t.nodes, t.lo, t.hi)
 	case taskDS7Range:
 		r.ds7Range(emit, t.lo, t.hi)
 	default:
-		r.ds7(emit, 0, 1)
+		r.ds7(emit)
 	}
 }
 
@@ -1129,39 +1118,18 @@ func appendRangeChunks(chunks []fusedChunk, kind fusedTaskKind, decl, bound, spa
 	return chunks
 }
 
-// planFusedChunks plans the work units for the requested rules. Without
-// ElementSharding each pass is one whole chunk (coarse tasks, as the
-// non-sharded parallel engine always ran); with it the node and edge
-// passes and every DS4 declaration split into many range chunks for the
-// stealing cursor. DS7 buckets globally and stays whole either way.
-func (r *runner) planFusedChunks(w fusedWant, sharded bool, workers int, chunks []fusedChunk) []fusedChunk {
+// planFusedChunks plans the work units for the requested rules: the
+// node and edge passes, every DS4 declaration and the DS7 conflict
+// groups split into range chunks, sized by adaptiveSpan for the
+// worker count.
+func (r *runner) planFusedChunks(w fusedWant, workers int, chunks []fusedChunk) []fusedChunk {
 	b := r.bind
-	nodePass := len(w.active(nodePassRules)) > 0
-	edgePass := len(w.active(edgePassRules)) > 0
-	if !sharded {
-		if nodePass {
-			chunks = append(chunks, fusedChunk{kind: taskNodePass, decl: -1, lo: 0, hi: b.snap.NodeBound()})
-		}
-		if edgePass {
-			chunks = append(chunks, fusedChunk{kind: taskEdgePass, decl: -1, lo: 0, hi: b.snap.EdgeBound()})
-		}
-		if w.ds4 {
-			chunks = append(chunks, fusedChunk{kind: taskDS4, decl: -1})
-		}
-		if w.ds7 {
-			chunks = append(chunks, fusedChunk{kind: taskDS7, decl: -1})
-		}
-		for i := range chunks {
-			chunks[i].w = w
-		}
-		return chunks
-	}
 	fb := b.p.sched.Load()
-	if nodePass {
+	if len(w.active(nodePassRules)) > 0 {
 		bound := b.snap.NodeBound()
 		chunks = appendRangeChunks(chunks, taskNodePass, -1, bound, adaptiveSpan(taskNodePass, bound, workers, fb))
 	}
-	if edgePass {
+	if len(w.active(edgePassRules)) > 0 {
 		bound := b.snap.EdgeBound()
 		chunks = appendRangeChunks(chunks, taskEdgePass, -1, bound, adaptiveSpan(taskEdgePass, bound, workers, fb))
 	}
@@ -1172,9 +1140,6 @@ func (r *runner) planFusedChunks(w fusedWant, sharded bool, workers int, chunks 
 		}
 	}
 	if w.ds7 {
-		// The key index was built by fused() before planning; the DS7 pass
-		// chunks bucket-group ranges, so a key-heavy graph no longer
-		// serializes the run behind one whole-pass task.
 		bound := len(b.ds7Groups)
 		chunks = appendRangeChunks(chunks, taskDS7Range, -1, bound, adaptiveSpan(taskDS7Range, bound, workers, fb))
 	}
@@ -1223,19 +1188,16 @@ func (r *runner) fused(p *Program, rules []Rule, c *collector) (map[Rule]time.Du
 		// timed chunks so the first chunk isn't charged for the build.
 		r.bind.kernels()
 	}
+	if w.ds7 {
+		// Planning ranges over the conflict groups.
+		r.bind.keyGroups(r.s)
+	}
 	workers := r.opts.Workers
 	if workers <= 1 {
 		workers = 1
 	}
-	sharded := r.opts.Workers > 1 && r.opts.ElementSharding
-	if w.ds7 && sharded {
-		// Materialize the key index so planning can range over the
-		// conflict groups (the same work the whole-pass DS7 task would
-		// have done serially inside one chunk).
-		r.bind.keyIndex(r.s)
-	}
 	cb := p.getChunkBuf()
-	cb.chunks = r.planFusedChunks(w, sharded, workers, cb.chunks[:0])
+	cb.chunks = r.planFusedChunks(w, workers, cb.chunks[:0])
 	timings, st := r.runChunks(cb.chunks, rules, c)
 	p.putChunkBuf(cb)
 	return timings, st

@@ -2,7 +2,6 @@ package validate
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -347,20 +346,15 @@ type binding struct {
 	// filled by ensureNodes alongside nodesOf.
 	reqTargets []boundReqTarget
 
-	// keyed caches DS7's key buckets per (type, key-field set). Bucket
-	// contents depend only on property values, so they are as
-	// epoch-stable as the rest of the binding; they are built lazily
-	// (guarded by keyOnce) because only unrestricted DS7 sweeps use them
-	// — incremental revalidation rebuilds buckets for the affected types
-	// alone, which is cheaper than indexing every keyed type.
-	keyOnce sync.Once
-	keyed   []boundKeySet
-
-	// ds7Groups flattens the key buckets with ≥ 2 nodes — the only ones
-	// DS7 can report — into one deterministic list (keysets in schema
-	// order, buckets in first-seen key order), so the sharded DS7 pass
-	// chunks bucket ranges instead of serializing behind one task.
-	// Built together with keyed under keyOnce.
+	// ds7Groups lists the DS7 key buckets with ≥ 2 nodes — the only
+	// ones DS7 can report — in one deterministic order (keysets in
+	// schema order, buckets in first-seen key order), so the DS7 pass
+	// chunks group ranges instead of serializing behind one task. Bucket
+	// contents depend only on property values, so the list is as
+	// epoch-stable as the rest of the binding. Built lazily under
+	// keyOnce, because only full runs use it: incremental revalidation
+	// rebuilds buckets for the affected types alone.
+	keyOnce   sync.Once
 	ds7Groups []ds7Group
 
 	// kern holds the dense-pass iteration bitsets (live nodes, live
@@ -456,48 +450,24 @@ func (b *binding) ensureNodes() {
 	})
 }
 
-// boundKeySet is one @key declaration's bucket index: nodes of the type
-// grouped by their rendered key-attribute tuple.
-type boundKeySet struct {
-	typeName  string
-	keyFields []string
-	buckets   map[string][]pg.NodeID
-}
-
-// keyIndex returns the DS7 bucket index, building it on first use.
-func (b *binding) keyIndex(s *schema.Schema) []boundKeySet {
+// keyGroups returns the DS7 conflict groups, building them on first use.
+func (b *binding) keyGroups(s *schema.Schema) []ds7Group {
 	b.keyOnce.Do(func() {
 		b.ensureNodes()
 		for _, td := range s.Types() {
 			for _, keyFields := range td.KeyFieldSets() {
-				var attrs []string
-				for _, f := range keyFields {
-					if fd := td.Field(f); fd != nil && s.IsAttribute(fd) {
-						attrs = append(attrs, f)
-					}
-				}
+				attrs := keyAttrs(s, td, keyFields)
 				buckets := make(map[string][]pg.NodeID)
 				var order []string // keys in first-seen (ascending node) order
 				for _, v := range b.nodesOf[td.Name] {
-					var sb strings.Builder
-					for _, f := range attrs {
-						if val, ok := b.g.NodeProp(v, f); ok {
-							sb.WriteString("P" + val.Key())
-						} else {
-							sb.WriteString("A")
-						}
-						sb.WriteByte('\x00')
-					}
-					key := sb.String()
+					key := keyTuple(b.g, v, attrs)
 					if _, seen := buckets[key]; !seen {
 						order = append(order, key)
 					}
 					buckets[key] = append(buckets[key], v)
 				}
-				b.keyed = append(b.keyed, boundKeySet{typeName: td.Name, keyFields: keyFields, buckets: buckets})
-				// Sharded DS7 chunks ranges over the conflict groups; the
-				// first-seen key order keeps the group list deterministic
-				// where map iteration would not be.
+				// The first-seen key order keeps the group list
+				// deterministic where map iteration would not be.
 				for _, key := range order {
 					if nodes := buckets[key]; len(nodes) >= 2 {
 						b.ds7Groups = append(b.ds7Groups, ds7Group{
@@ -508,7 +478,7 @@ func (b *binding) keyIndex(s *schema.Schema) []boundKeySet {
 			}
 		}
 	})
-	return b.keyed
+	return b.ds7Groups
 }
 
 // boundLabel is a labelProgram bound to the graph's symbol table — or,

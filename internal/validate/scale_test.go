@@ -63,7 +63,7 @@ func TestDifferentialSkewedViolations(t *testing.T) {
 	assertEngineEquivalence(t, s, g, "skewed all-violating graph")
 
 	res := validate.Validate(s, g, validate.Options{
-		Mode: validate.Directives, Workers: 4, ElementSharding: true,
+		Mode: validate.Directives, Workers: 4,
 	})
 	by := res.ByRule()
 	if len(by[validate.DS6]) != books || len(by[validate.DS4]) != books {
@@ -92,9 +92,7 @@ func TestScaleSmokeParallel(t *testing.T) {
 	}
 
 	seq := validate.Validate(s, base, validate.Options{Engine: validate.EngineFused, Workers: -1})
-	par := validate.Validate(s, base, validate.Options{
-		Engine: validate.EngineFused, Workers: 4, ElementSharding: true,
-	})
+	par := validate.Validate(s, base, validate.Options{Engine: validate.EngineFused, Workers: 4})
 	if a, b := renderViolations(seq), renderViolations(par); a != b {
 		t.Errorf("sequential and work-stealing parallel results diverge:\n--- seq ---\n%s--- par ---\n%s", a, b)
 	}

@@ -106,15 +106,38 @@ func TestSchedStatsSequential(t *testing.T) {
 	}
 }
 
+// TestSchedStatsRangePlanByDefault pins the one fused plan: with no
+// option beyond a worker count — the shape the server's /validate and
+// ValidateStream run — the passes split into range chunks, so a graph
+// of a few thousand elements plans more chunks than it has passes (node,
+// edge, DS4, DS7). Sequential runs execute the same plan.
+func TestSchedStatsRangePlanByDefault(t *testing.T) {
+	s := build(t, programSchema)
+	g := programGraph(1000)
+	for _, workers := range []int{2, 1} {
+		res := Validate(s, g, Options{Engine: EngineFused, Workers: workers, SchedStats: true})
+		if !res.OK() {
+			t.Fatalf("fixture not conformant: %v", res.Violations)
+		}
+		checkStatsInvariants(t, res.Sched)
+		if res.Sched.Workers != workers {
+			t.Errorf("workers=%d: run used %d workers", workers, res.Sched.Workers)
+		}
+		if res.Sched.Chunks <= 4 {
+			t.Errorf("workers=%d: planned %d chunks over %d elements, want more than one per pass",
+				workers, res.Sched.Chunks, g.NodeBound()+g.EdgeBound())
+		}
+	}
+}
+
 func TestSchedStatsSkewedStealsAndTimings(t *testing.T) {
 	s := build(t, programSchema)
 	g := skewedGraph(4000, 2000)
 	p := Compile(s)
 	opts := Options{
-		Program:         p,
-		Workers:         4,
-		ElementSharding: true,
-		SchedStats:      true,
+		Program:    p,
+		Workers:    4,
+		SchedStats: true,
 	}
 	// Steal counts depend on goroutine interleaving, so the hard
 	// assertion is over a handful of attempts: with the hub node's cost
@@ -131,7 +154,7 @@ func TestSchedStatsSkewedStealsAndTimings(t *testing.T) {
 			t.Fatalf("run used %d workers, want 4", res.Sched.Workers)
 		}
 		if res.Sched.Chunks < 8 {
-			t.Fatalf("element sharding planned only %d chunks", res.Sched.Chunks)
+			t.Fatalf("range plan planned only %d chunks", res.Sched.Chunks)
 		}
 		if res.Sched.MaxChunk <= 0 {
 			t.Fatal("no per-chunk wall time recorded")
@@ -265,9 +288,8 @@ func TestParallelCancellationNoLeak(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: every chunk claim sees it
 		res := ValidateContext(ctx, s, g, Options{
-			Program:         p,
-			Workers:         4,
-			ElementSharding: true,
+			Program: p,
+			Workers: 4,
 		})
 		if !res.Incomplete {
 			t.Fatal("cancelled run not marked Incomplete")

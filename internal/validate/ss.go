@@ -7,11 +7,8 @@ import (
 )
 
 // ss1 — SS1 (all nodes are justified): for all v ∈ V, λ(v) ∈ OT.
-func (r *runner) ss1(emit emitFunc, shard, nShards int) {
-	for _, v := range r.nodes() {
-		if !nodeShard(v, shard, nShards) {
-			continue
-		}
+func (r *runner) ss1(emit emitFunc) {
+	for _, v := range r.g.Nodes() {
 		label := r.g.NodeLabel(v)
 		td := r.s.Type(label)
 		if (td == nil || td.Kind != schema.Object) && !r.drop() {
@@ -25,11 +22,8 @@ func (r *runner) ss1(emit emitFunc, shard, nShards int) {
 
 // ss2 — SS2 (all node properties are justified): for all (v, f) ∈ dom(σ)
 // with v ∈ V, f ∈ fieldsS(λ(v)) and typeF(λ(v), f) ∈ S ∪ WS.
-func (r *runner) ss2(emit emitFunc, shard, nShards int) {
-	for _, v := range r.nodes() {
-		if !nodeShard(v, shard, nShards) {
-			continue
-		}
+func (r *runner) ss2(emit emitFunc) {
+	for _, v := range r.g.Nodes() {
 		label := r.g.NodeLabel(v)
 		td := r.s.Type(label)
 		for _, name := range r.g.NodePropNames(v) {
@@ -59,11 +53,8 @@ func (r *runner) ss2(emit emitFunc, shard, nShards int) {
 
 // ss3 — SS3 (all edge properties are justified): for all (e, a) ∈ dom(σ)
 // with ρ(e) = (v1, v2), a ∈ argsS((λ(v1), λ(e))).
-func (r *runner) ss3(emit emitFunc, shard, nShards int) {
-	for _, e := range r.edges() {
-		if !edgeShard(e, shard, nShards) {
-			continue
-		}
+func (r *runner) ss3(emit emitFunc) {
+	for _, e := range r.g.Edges() {
 		props := r.g.EdgePropNames(e)
 		if len(props) == 0 {
 			continue
@@ -85,11 +76,8 @@ func (r *runner) ss3(emit emitFunc, shard, nShards int) {
 
 // ss4 — SS4 (all edges are justified): for all e ∈ E with ρ(e) = (v1, v2),
 // λ(e) ∈ fieldsS(λ(v1)) and typeF(λ(v1), λ(e)) ∉ S ∪ WS.
-func (r *runner) ss4(emit emitFunc, shard, nShards int) {
-	for _, e := range r.edges() {
-		if !edgeShard(e, shard, nShards) {
-			continue
-		}
+func (r *runner) ss4(emit emitFunc) {
+	for _, e := range r.g.Edges() {
 		src, _ := r.g.Endpoints(e)
 		srcLabel := r.g.NodeLabel(src)
 		elabel := r.g.EdgeLabel(e)

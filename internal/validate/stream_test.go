@@ -42,7 +42,7 @@ func assertStreamEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label 
 		set  func(*validate.Options)
 	}{
 		{"seq", func(o *validate.Options) {}},
-		{"par4+sharding", func(o *validate.Options) { o.Workers = 4; o.ElementSharding = true }},
+		{"par4", func(o *validate.Options) { o.Workers = 4 }},
 		{"precompiled", func(o *validate.Options) { o.Program = prog }},
 	}
 	for _, m := range diffModes {
@@ -134,7 +134,7 @@ func TestStreamValidateSmoke(t *testing.T) {
 
 	res, g, err := validate.ValidateStream(context.Background(), s,
 		strings.NewReader(nodes), strings.NewReader(edges),
-		validate.Options{Workers: 4, ElementSharding: true})
+		validate.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("ValidateStream: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestStreamValidateSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderViolations(validate.Validate(s, twoPhase, validate.Options{Workers: 4, ElementSharding: true}))
+	want := renderViolations(validate.Validate(s, twoPhase, validate.Options{Workers: 4}))
 	if got := renderViolations(res); got != want {
 		t.Fatalf("streamed smoke violations diverge:\n--- two-phase ---\n%s--- streamed ---\n%s", want, got)
 	}

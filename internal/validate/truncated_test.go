@@ -1,42 +1,31 @@
 package validate
 
-// Tests pinning the MaxViolations cap contract across the engines. The
-// parallel engines buffer violations per task and merge once; a merge
+// Tests pinning the MaxViolations cap contract across the engines. A
+// parallel run buffers violations per chunk and merges once; a merge
 // that drops buffered violations must flip Truncated, so a *completed*
-// task never under-reports truncation. (Tasks never started once the cap
-// is reached remain the documented weakness: Truncated may be false even
-// though further violations exist, but true is always trustworthy.)
+// chunk never under-reports truncation. (Chunks never started once the
+// cap is reached remain the documented weakness: Truncated may be false
+// even though further violations exist, but true is always trustworthy.)
 
 import "testing"
 
 // capConfigs is every engine configuration whose cap semantics the tests
 // below pin. The naive pair scans share the rule-by-rule collector path,
-// so the rule-by-rule entries cover them.
+// so the rule-by-rule entry covers them.
 var capConfigs = []struct {
 	name string
 	set  func(*Options)
 }{
 	{"seq/rule-by-rule", func(o *Options) { o.Engine = EngineRuleByRule }},
 	{"seq/fused", func(o *Options) { o.Engine = EngineFused }},
-	{"par4/rule-by-rule", func(o *Options) { o.Engine = EngineRuleByRule; o.Workers = 4 }},
 	{"par4/fused", func(o *Options) { o.Engine = EngineFused; o.Workers = 4 }},
-	{"par4+sharding/rule-by-rule", func(o *Options) {
-		o.Engine = EngineRuleByRule
-		o.Workers = 4
-		o.ElementSharding = true
-	}},
-	{"par4+sharding/fused", func(o *Options) {
-		o.Engine = EngineFused
-		o.Workers = 4
-		o.ElementSharding = true
-	}},
 }
 
 // TestTruncatedSingleTaskOverflow drops two required properties of one
-// node, so a single task — any engine, any sharding — carries both DS5
-// violations. With MaxViolations = 1 the task's merge must drop one of
+// node, so a single rule or chunk — in any engine — carries both DS5
+// violations. With MaxViolations = 1 the chunk's merge must drop one of
 // them and flip Truncated; this is deterministic because the overflow
-// happens inside one completed task, never across the task skip.
+// happens inside one completed chunk, never across the chunk skip.
 func TestTruncatedSingleTaskOverflow(t *testing.T) {
 	s := build(t, sessionSchema)
 	g := sessionGraph()
@@ -63,7 +52,7 @@ func TestTruncatedSingleTaskOverflow(t *testing.T) {
 // TestTruncatedExactCapAllEngines sets the cap to the exact violation
 // count: no engine may report truncation. This is deterministic even in
 // parallel — the collector only becomes full once every violation has
-// been collected, so no violation-carrying task can be skipped.
+// been collected, so no violation-carrying chunk can be skipped.
 func TestTruncatedExactCapAllEngines(t *testing.T) {
 	s := build(t, sessionSchema)
 	g := sessionGraph()

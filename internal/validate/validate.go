@@ -9,15 +9,20 @@
 //
 // Every rule is independently addressable; a validation run reports all
 // violations (or up to a configurable limit) with the graph elements and
-// schema elements involved. A parallel engine exploits the observation
+// schema elements involved. The fused engine exploits the observation
 // behind Theorem 1 that all rules are constant-depth first-order
-// conditions evaluable independently per graph element.
+// conditions evaluable independently per graph element: it splits its
+// passes into range chunks that run sequentially or, when
+// Options.Workers > 1, on a work-stealing pool. The rule-by-rule engine
+// is the definitional, always-sequential reference the fused engine is
+// tested against.
 //
-// Options.CollectTimings records per-rule wall-clock durations in both
-// engines. Under the parallel engine a rule's duration is the sum of the
-// time its tasks spent across workers (with ElementSharding, the sum over
-// all shards), so it measures CPU cost, not elapsed wall-clock time of
-// the run.
+// Options.CollectTimings records per-rule durations in both engines.
+// The rule-by-rule engine measures each rule's wall-clock time. The
+// fused engine evaluates several rules per pass, so it attributes each
+// chunk's time evenly across the rules the chunk evaluated and sums the
+// shares across workers: under parallel runs a rule's duration measures
+// CPU cost, not elapsed wall-clock time of the run.
 package validate
 
 import (
@@ -118,15 +123,15 @@ type Result struct {
 	// reported list is a canonically sorted subset — not a prefix — of
 	// the full violation set. The sequential engine computes Truncated
 	// exactly (it keeps scanning after the cap fills until it either
-	// sees one more violation or exhausts the rules). The parallel
-	// engine skips tasks not yet started once the cap is reached, so it
-	// may report Truncated == false even though further violations
+	// sees one more violation or exhausts the rules or chunks). A
+	// parallel run skips chunks not yet started once the cap is reached,
+	// so it may report Truncated == false even though further violations
 	// exist; Truncated == true is always trustworthy.
 	Truncated bool
 	// RuleTime holds per-rule durations when Options.CollectTimings was
-	// set. Sequentially this is wall-clock time per rule; under the
-	// parallel engine it is the summed task time per rule across
-	// workers and shards (see the package comment).
+	// set: wall-clock time per rule for the rule-by-rule engine, chunk
+	// time attributed per rule and summed across workers for the fused
+	// engine (see the package comment).
 	RuleTime map[Rule]time.Duration
 	// Incomplete marks a partial result: the run's context was cancelled
 	// before every element was checked. Violations found up to that
@@ -197,17 +202,15 @@ type Options struct {
 	// MaxViolations stops the run once this many violations have been
 	// collected; 0 means unlimited.
 	MaxViolations int
-	// Workers enables the parallel engine when > 1. 0 normally means
-	// sequential, but under EngineAuto a graph of at least
-	// autotuneElements elements autotunes to GOMAXPROCS workers. The
-	// value is clamped by EffectiveWorkers (floor 1, cap 8×GOMAXPROCS
-	// and the graph's element count); negative values mean sequential.
+	// Workers runs the fused engine's chunks on a work-stealing pool
+	// of that many workers when > 1. 0 normally means sequential, but
+	// under EngineAuto a graph of at least autotuneElements elements
+	// autotunes to GOMAXPROCS workers. The value is clamped by
+	// EffectiveWorkers (floor 1, cap 8×GOMAXPROCS and the graph's
+	// element count); negative values mean sequential. The rule-by-rule
+	// engine is always sequential and ignores it.
 	Workers int
-	// ElementSharding makes the parallel engine split node iteration
-	// across workers within a rule instead of running whole rules on
-	// separate workers.
-	ElementSharding bool
-	// CollectTimings records per-rule durations (sequential engine).
+	// CollectTimings records per-rule durations into Result.RuleTime.
 	CollectTimings bool
 	// SchedStats records chunk-scheduler telemetry (per-chunk wall time,
 	// steal counts, per-worker busy fractions, chunk-size histogram)
@@ -258,11 +261,15 @@ const autotuneElements = 100_000
 //   - the worker count never exceeds the element count (a worker with no
 //     possible elements is pure overhead).
 //
-// 1 means the sequential engine. Servers and CLIs report this value so
+// 1 means a sequential run, which EngineRuleByRule (also when selected
+// by NaivePairScan) always is. Servers and CLIs report this value so
 // operators can see what an autotuned run actually did.
 func (o Options) EffectiveWorkers(elements int) int {
+	if o.resolveEngine() == EngineRuleByRule {
+		return 1
+	}
 	w := o.Workers
-	if w == 0 && o.Engine == EngineAuto && !o.NaivePairScan && elements >= autotuneElements {
+	if w == 0 && o.Engine == EngineAuto && elements >= autotuneElements {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w < 1 {
@@ -324,7 +331,7 @@ func Validate(s *schema.Schema, g *pg.Graph, opts Options) *Result {
 
 // ValidateContext is Validate under a context. Cancellation is observed
 // at chunk-claim boundaries — between work chunks in the fused engine,
-// between rules (or tasks) in the rule-by-rule engine — so a cancelled
+// between rules in the rule-by-rule engine — so a cancelled
 // context stops the run before the next unit of work starts, never
 // mid-element. The result of a cancelled run has Incomplete set and
 // carries whatever violations were found before the stop.
@@ -371,10 +378,6 @@ func ValidateContext(ctx context.Context, s *schema.Schema, g *pg.Graph, opts Op
 		}
 		return res
 	}
-	if opts.Workers > 1 {
-		timings := run.parallel(rules, c)
-		return finish(c.result(), timings)
-	}
 	var timings map[Rule]time.Duration
 	if opts.CollectTimings {
 		timings = make(map[Rule]time.Duration, len(rules))
@@ -387,7 +390,7 @@ func ValidateContext(ctx context.Context, s *schema.Schema, g *pg.Graph, opts Op
 			break
 		}
 		start := time.Now()
-		run.runRule(r, c.emit, 0, 1)
+		run.runRule(r, c.emit)
 		if timings != nil {
 			timings[r] += time.Since(start)
 		}
@@ -441,10 +444,10 @@ func (c *collector) dropFull() bool {
 	return false
 }
 
-// merge splices a task-local violation buffer into the collector under
+// merge splices a chunk-local violation buffer into the collector under
 // a single lock. Buffered violations beyond the cap are dropped but
-// still flip overflow, so a completed task never under-reports
-// truncation (the cap contract the parallel engines rely on).
+// still flip overflow, so a completed chunk never under-reports
+// truncation (the cap contract parallel runs rely on).
 func (c *collector) merge(buf []Violation) {
 	if len(buf) == 0 {
 		return
@@ -491,9 +494,7 @@ func (c *collector) result() *Result {
 	return &Result{Violations: c.violations, Truncated: c.overflow}
 }
 
-// runner binds a schema and graph for one validation run. The optional
-// restriction sets narrow the element space a rule iterates over — used
-// by Revalidate to make incremental checking cheap; nil means "all".
+// runner binds a schema and graph for one validation run.
 type runner struct {
 	s    *schema.Schema
 	g    *pg.Graph
@@ -505,19 +506,17 @@ type runner struct {
 	ctx context.Context
 
 	// bind is the compiled program bound to the graph, set by the fused
-	// engine (and by RevalidateWithOptions when given a program). The
-	// shared rule bodies (nodesOfType in particular) use it when
-	// present; the rule-by-rule engine leaves it nil.
+	// engine; the rule-by-rule engine leaves it nil.
 	bind *binding
 
 	// coll is the run's collector, consulted by drop() to skip
 	// formatting violations that a full collector would reject anyway.
-	// Nil (Revalidate's restricted sweeps) means never drop.
+	// Nil means never drop.
 	coll *collector
 
-	onlyNodes map[pg.NodeID]bool
-	onlyEdges map[pg.EdgeID]bool
-	onlyTypes map[string]bool // restricts DS7 to related types
+	// onlyTypes restricts DS7 to the types related to a delta's labels —
+	// the fused incremental DS7 chunk; nil means every type.
+	onlyTypes map[string]bool
 }
 
 // drop reports whether the imminent violation should be skipped because
@@ -527,34 +526,6 @@ func (r *runner) drop() bool { return r.coll != nil && r.coll.dropFull() }
 
 // cancelled reports whether the run's context has been cancelled.
 func (r *runner) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
-
-// nodes returns the node iteration space under the restriction.
-func (r *runner) nodes() []pg.NodeID {
-	if r.onlyNodes == nil {
-		return r.g.Nodes()
-	}
-	out := make([]pg.NodeID, 0, len(r.onlyNodes))
-	for _, id := range r.g.Nodes() {
-		if r.onlyNodes[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// edges returns the edge iteration space under the restriction.
-func (r *runner) edges() []pg.EdgeID {
-	if r.onlyEdges == nil {
-		return r.g.Edges()
-	}
-	out := make([]pg.EdgeID, 0, len(r.onlyEdges))
-	for _, id := range r.g.Edges() {
-		if r.onlyEdges[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 // typeAllowed reports whether DS7 should consider the type under the
 // restriction (a type is relevant when an affected label is ⊑ it).
@@ -572,136 +543,41 @@ func (r *runner) typeAllowed(name string) bool {
 
 type emitFunc func(Violation)
 
-// runRule evaluates one rule over the shard [shard, nShards) of the
-// element space (sharding applies to the outer node/edge loop).
-func (r *runner) runRule(rule Rule, emit emitFunc, shard, nShards int) {
+// runRule evaluates one rule over the whole graph.
+func (r *runner) runRule(rule Rule, emit emitFunc) {
 	switch rule {
 	case WS1:
-		r.ws1(emit, shard, nShards)
+		r.ws1(emit)
 	case WS2:
-		r.ws2(emit, shard, nShards)
+		r.ws2(emit)
 	case WS3:
-		r.ws3(emit, shard, nShards)
+		r.ws3(emit)
 	case WS4:
-		r.ws4(emit, shard, nShards)
+		r.ws4(emit)
 	case DS1:
-		r.ds1(emit, shard, nShards)
+		r.ds1(emit)
 	case DS2:
-		r.ds2(emit, shard, nShards)
+		r.ds2(emit)
 	case DS3:
-		r.ds3(emit, shard, nShards)
+		r.ds3(emit)
 	case DS4:
-		r.ds4(emit, shard, nShards)
+		r.ds4(emit)
 	case DS5:
-		r.ds5(emit, shard, nShards)
+		r.ds5(emit)
 	case DS6:
-		r.ds6(emit, shard, nShards)
+		r.ds6(emit)
 	case DS7:
-		r.ds7(emit, shard, nShards)
+		r.ds7(emit)
 	case SS1:
-		r.ss1(emit, shard, nShards)
+		r.ss1(emit)
 	case SS2:
-		r.ss2(emit, shard, nShards)
+		r.ss2(emit)
 	case SS3:
-		r.ss3(emit, shard, nShards)
+		r.ss3(emit)
 	case SS4:
-		r.ss4(emit, shard, nShards)
+		r.ss4(emit)
 	}
 }
-
-// parallel runs the rules on a worker pool, either one rule per task or —
-// with ElementSharding — one (rule, shard) pair per task. When
-// Options.CollectTimings is set it returns the per-rule task durations,
-// summed across workers and shards; otherwise it returns nil.
-func (r *runner) parallel(rules []Rule, c *collector) map[Rule]time.Duration {
-	type task struct {
-		rule           Rule
-		shard, nShards int
-	}
-	var tasks []task
-	if r.opts.ElementSharding {
-		n := r.opts.Workers
-		for _, rule := range rules {
-			if rule == DS7 {
-				// DS7 buckets nodes globally; shards would each
-				// need the full bucket map, so keep it whole.
-				tasks = append(tasks, task{rule, 0, 1})
-				continue
-			}
-			for s := 0; s < n; s++ {
-				tasks = append(tasks, task{rule, s, n})
-			}
-		}
-	} else {
-		for _, rule := range rules {
-			tasks = append(tasks, task{rule, 0, 1})
-		}
-	}
-	var (
-		timingMu sync.Mutex
-		timings  map[Rule]time.Duration
-	)
-	if r.opts.CollectTimings {
-		timings = make(map[Rule]time.Duration, len(rules))
-		for _, rule := range rules {
-			timings[rule] = 0 // every requested rule gets an entry
-		}
-	}
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < r.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range ch {
-				// Tasks not yet started are skipped once the cap is
-				// reached or the context is cancelled; a started task
-				// runs to completion and merges its buffer, so overflow
-				// among completed tasks is never lost (see
-				// collector.merge). Cancelled workers keep draining the
-				// channel so the feeder below never blocks.
-				if c.full() || r.cancelled() {
-					continue
-				}
-				bufp := violationBufPool.Get().(*[]Violation)
-				buf := (*bufp)[:0]
-				emit := func(v Violation) { buf = append(buf, v) }
-				start := time.Now()
-				r.runRule(t.rule, emit, t.shard, t.nShards)
-				elapsed := time.Since(start)
-				c.merge(buf)
-				*bufp = buf[:0]
-				violationBufPool.Put(bufp)
-				if timings != nil {
-					timingMu.Lock()
-					timings[t.rule] += elapsed
-					timingMu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
-	wg.Wait()
-	return timings
-}
-
-// nodeShard reports whether node id belongs to the shard.
-func nodeShard(id pg.NodeID, shard, nShards int) bool {
-	return nShards <= 1 || int(id)%nShards == shard
-}
-
-// edgeShard reports whether edge id belongs to the shard.
-func edgeShard(id pg.EdgeID, shard, nShards int) bool {
-	return nShards <= 1 || int(id)%nShards == shard
-}
-
-// violationBufPool recycles the task-local violation buffers of the
-// parallel engines, so a task on a violation-free shard costs no buffer
-// allocation and a violating task reuses a previously grown buffer.
-var violationBufPool = sync.Pool{New: func() any { return new([]Violation) }}
 
 func nodeRef(id pg.NodeID) string { return "node n" + strconv.Itoa(int(id)) }
 

@@ -628,17 +628,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	seq := Validate(s, g, Options{})
 	for _, workers := range []int{2, 4, 8} {
-		for _, sharding := range []bool{false, true} {
-			par := Validate(s, g, Options{Workers: workers, ElementSharding: sharding})
-			if len(par.Violations) != len(seq.Violations) {
-				t.Fatalf("workers=%d sharding=%v: %d violations, sequential %d\npar: %v\nseq: %v",
-					workers, sharding, len(par.Violations), len(seq.Violations), par.Violations, seq.Violations)
-			}
-			for i := range seq.Violations {
-				if par.Violations[i].Rule != seq.Violations[i].Rule || par.Violations[i].Message != seq.Violations[i].Message {
-					t.Fatalf("workers=%d sharding=%v: violation %d differs:\npar: %v\nseq: %v",
-						workers, sharding, i, par.Violations[i], seq.Violations[i])
-				}
+		par := Validate(s, g, Options{Workers: workers})
+		if len(par.Violations) != len(seq.Violations) {
+			t.Fatalf("workers=%d: %d violations, sequential %d\npar: %v\nseq: %v",
+				workers, len(par.Violations), len(seq.Violations), par.Violations, seq.Violations)
+		}
+		for i := range seq.Violations {
+			if par.Violations[i].Rule != seq.Violations[i].Rule || par.Violations[i].Message != seq.Violations[i].Message {
+				t.Fatalf("workers=%d: violation %d differs:\npar: %v\nseq: %v",
+					workers, i, par.Violations[i], seq.Violations[i])
 			}
 		}
 	}
